@@ -104,6 +104,35 @@
 // replicates each build their own Simulator and Medium and therefore
 // their own pools, with no cross-goroutine state.
 //
+// # The receive pipeline
+//
+// A flood reaches every node, and each frame reaches about a dozen
+// receivers, so formation cost is the cost of receiving, not of crypto.
+// Each received frame therefore costs one decode per transmission and a
+// few table probes per receiver:
+//
+//   - Decode once. The medium hands every receiver of one transmission a
+//     shared parse slot (radio.Handler). The first receiving node decodes
+//     the frame into it, and every later receiver reuses that
+//     *wire.Packet, or the decode error.
+//   - Open-addressed tables. The flood seen-sets (ndp.FloodCache) and the
+//     neighbour cache sit on one address-keyed table, ndp.AddrTable. It
+//     stores keys inline behind an index of 32-bit positions, evicts FIFO
+//     when bounded, and grows lazily up to its bound.
+//   - Resolved counters. The per-frame counters (rx.frames, rx.AREQ,
+//     tx.<type>, tx.bytes.*) are trace.Counter references resolved once
+//     per node. A resolved counter materializes on its first increment,
+//     so every Result is unchanged.
+//
+// The contract that makes decode-once safe: the shared packet is
+// read-only for every receiver. Dispatch and Behavior.Intercept never
+// write through it, and every relay builds its own packet from a copy
+// (fwd := *pkt). A receiver that broke this would change what the next
+// receiver sees. The shared-packet guard test re-encodes each shared
+// packet against its frame after every receiver, across the attacker set
+// and the tap, on one and two regions. The pooled, poisoned, sharded and
+// verify-cache differential suites hold Results byte-identical.
+//
 // # Bootstrap admission
 //
 // Network formation is scheduled by an admission policy (internal/boot).

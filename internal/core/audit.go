@@ -68,7 +68,7 @@ func (n *Node) handleAuditAdv(pkt *wire.Packet, m *wire.AuditAdv) {
 	if n.auditSeen.Seen(m.SIP, auditAdvKey(m)) {
 		return
 	}
-	n.met.Add1("rx.AADV")
+	n.hot(&n.ctr.rxAADV, "rx.AADV").Add1()
 
 	// A configured holder of the advertised address consumes the flood —
 	// the conflict gets resolved here, relaying it further serves no one.

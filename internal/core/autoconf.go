@@ -30,7 +30,7 @@ func (n *Node) handleAREQ(pkt *wire.Packet, m *wire.AREQ) {
 	if n.areqSeen.Seen(m.SIP, areqKey(m)) {
 		return
 	}
-	n.met.Add1("rx.AREQ")
+	n.hot(&n.ctr.rxAREQ, "rx.AREQ").Add1()
 
 	// A configured owner of the probed address objects and stops the flood
 	// here: the requester must pick a new address anyway.

@@ -139,7 +139,12 @@ func BaselineConfig() Config {
 // is an honest node.
 type Behavior interface {
 	// Intercept sees every received packet before normal processing and
-	// may consume it by returning true.
+	// may consume it by returning true. pkt is the transmission's shared
+	// decode (see Node.Deliver): every receiver of the same frame gets the
+	// same *wire.Packet, so Intercept must treat it — header, message and
+	// every slice they reference — as read-only. To send a variant, copy
+	// first (fwd := *pkt), as the relay paths do. raw is borrowed for the
+	// duration of the call, like radio.Handler's payload.
 	Intercept(n *Node, pkt *wire.Packet, raw []byte) bool
 	// DropForward reports whether to silently drop a unicast this node was
 	// asked to relay (the black-hole primitive).
@@ -156,6 +161,7 @@ type Node struct {
 	cfg    Config
 	rng    *rand.Rand
 	met    *trace.Metrics
+	ctr    hotCounters // met's per-frame counters, resolved on first use
 
 	dns *dnssrv.Server // non-nil only on the DNS node
 
@@ -167,12 +173,15 @@ type Node struct {
 	configured bool
 	dead       bool // Shutdown ran: every entry point and transmit path is inert
 
-	neighbors map[ipv6.Addr]radio.NodeID
+	// neighbors is the neighbour cache: a transmitter's IP (Tag 0) to its
+	// link, learned from every received frame.
+	neighbors ndp.AddrTable[radio.NodeID]
 
-	areqSeen  *ndp.FloodCache
-	rreqSeen  *ndp.FloodCache
-	dnsFloods *ndp.FloodCache // content-hash dedup for flood-routed DNS control
-	auditSeen *ndp.FloodCache // audit re-advertisement flood dedup
+	// Flood seen-sets, inline so a duplicate flood costs no pointer chase.
+	areqSeen  ndp.FloodCache
+	rreqSeen  ndp.FloodCache
+	dnsFloods ndp.FloodCache // content-hash dedup for flood-routed DNS control
+	auditSeen ndp.FloodCache // audit re-advertisement flood dedup
 
 	// Audit sweep state: the current sweep round and the challenge the
 	// in-flight advertisement carries (0 = none outstanding).
@@ -300,11 +309,6 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 	n := &Node{
 		sim: s, medium: medium, link: link, ident: ident, dnsPub: dnsPub,
 		cfg: cfg, rng: rng, met: met, vcache: vc,
-		neighbors:   make(map[ipv6.Addr]radio.NodeID),
-		areqSeen:    ndp.NewFloodCache(floodCap),
-		rreqSeen:    ndp.NewFloodCache(floodCap),
-		dnsFloods:   ndp.NewFloodCache(floodCap),
-		auditSeen:   ndp.NewFloodCache(floodCap),
 		routes:      dsr.NewCache(ident.Addr, sim.Duration(cfg.RouteTTL), 3),
 		credits:     credit.New(cfg.Credit),
 		pending:     make(map[ipv6.Addr]*discovery),
@@ -314,6 +318,9 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		rerrTimes:   make(map[ipv6.Addr][]sim.Time),
 		resolves:    make(map[string]*resolveState),
 		aliases:     make(map[ipv6.Addr]ipv6.Addr),
+	}
+	for _, f := range []*ndp.FloodCache{&n.areqSeen, &n.rreqSeen, &n.dnsFloods, &n.auditSeen} {
+		f.Init(floodCap)
 	}
 	n.autoconf = ndp.NewInitiator(s, rng, ident, dnsPub, cfg.DAD)
 	if n.vcache != nil {
@@ -472,7 +479,7 @@ func (n *Node) Shutdown() {
 	// metrics sink (merged into the scenario's graveyard by the caller).
 	// Untracked events that survive (finishProbe) look their state up by
 	// key and no-op on the emptied maps.
-	n.neighbors = make(map[ipv6.Addr]radio.NodeID)
+	n.neighbors = ndp.AddrTable[radio.NodeID]{}
 	n.pending = make(map[ipv6.Addr]*discovery)
 	n.outstanding = make(map[ackKey]*sentData)
 	n.lossStreak = make(map[ipv6.Addr]int)
@@ -563,24 +570,53 @@ func (n *Node) VerifyRouteRecord(m *wire.RREQ) error { return n.verifySRR(m) }
 
 // --- Receive path ---
 
-// Deliver implements radio.Handler.
-func (n *Node) Deliver(from radio.NodeID, payload []byte) {
+// Deliver implements radio.Handler. The frame is decoded once per
+// transmission: the first receiver stores its wire.Decode result (packet
+// or error) in the medium's parse slot, and every later receiver of the
+// same transmission reuses it. The shared *wire.Packet is read-only for
+// all of them — the dispatch paths and Behavior.Intercept never write
+// through it, and every relay builds its own packet from a copy — which is
+// what keeps decode-once byte-identical to decoding per receiver.
+func (n *Node) Deliver(from radio.NodeID, payload []byte, parse *any) {
 	if n.dead {
 		return
 	}
-	pkt, err := wire.Decode(payload)
+	pkt, err := decodeShared(payload, parse)
 	if err != nil {
 		n.met.Add1("rx.malformed")
 		return
 	}
-	n.met.Add1("rx.frames")
+	n.hot(&n.ctr.rxFrames, "rx.frames").Add1()
 	if prev, ok := transmitterIP(pkt); ok {
-		n.neighbors[prev] = from
+		n.neighbors.Put(ndp.AddrKey{Addr: prev}, from)
 	}
 	if n.Behavior != nil && n.Behavior.Intercept(n, pkt, payload) {
 		return
 	}
 	n.dispatch(pkt, payload)
+}
+
+// decodeShared decodes payload through the transmission's parse slot:
+// the slot's packet or error when an earlier receiver decoded the frame,
+// otherwise a fresh decode, stored for the receivers after this one. A nil
+// slot (a frame with no sharing receivers) decodes directly.
+func decodeShared(payload []byte, parse *any) (*wire.Packet, error) {
+	if parse == nil {
+		return wire.Decode(payload)
+	}
+	switch v := (*parse).(type) {
+	case *wire.Packet:
+		return v, nil
+	case error:
+		return nil, v
+	}
+	pkt, err := wire.Decode(payload)
+	if err != nil {
+		*parse = err
+	} else {
+		*parse = pkt
+	}
+	return pkt, err
 }
 
 func (n *Node) dispatch(pkt *wire.Packet, raw []byte) {
@@ -685,14 +721,15 @@ func (n *Node) consume(pkt *wire.Packet) {
 // --- Transmit primitives ---
 
 func (n *Node) account(pkt *wire.Packet, size int) {
-	n.met.Add1("tx." + pkt.Msg.Type().String())
+	t := pkt.Msg.Type()
+	n.hot(&n.ctr.tx[t], txName(t)).Add1()
 	switch pkt.Msg.(type) {
 	case *wire.Data:
-		n.met.Inc("tx.bytes.data", float64(size))
+		n.hot(&n.ctr.txData, "tx.bytes.data").Inc(float64(size))
 	default:
-		n.met.Inc("tx.bytes.control", float64(size))
+		n.hot(&n.ctr.txControl, "tx.bytes.control").Inc(float64(size))
 	}
-	n.met.Inc("tx.bytes.total", float64(size))
+	n.hot(&n.ctr.txTotal, "tx.bytes.total").Inc(float64(size))
 }
 
 // encodeFrame serializes pkt into a frame checked out of the medium's
@@ -724,7 +761,7 @@ func (n *Node) RawBroadcast(raw []byte) {
 	if n.dead {
 		return
 	}
-	n.met.Inc("tx.bytes.total", float64(len(raw)))
+	n.hot(&n.ctr.txTotal, "tx.bytes.total").Inc(float64(len(raw)))
 	n.met.Inc("tx.bytes.raw", float64(len(raw)))
 	n.met.Add1("tx.raw")
 	n.medium.Broadcast(n.link, raw)
@@ -776,7 +813,7 @@ func (n *Node) sendSourceRouted(pkt *wire.Packet, onFail func(next ipv6.Addr)) {
 		n.medium.BroadcastFrame(n.link, raw)
 		return
 	}
-	nid, known := n.neighbors[next]
+	nid, known := n.neighbors.Get(ndp.AddrKey{Addr: next})
 	if !known {
 		n.met.Add1("tx.no_neighbor")
 		n.medium.ReleaseFrame(raw) // encoded but never transmitted

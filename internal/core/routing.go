@@ -81,7 +81,7 @@ func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
 	if n.rreqSeen.Seen(m.SIP, m.Seq) {
 		return
 	}
-	n.met.Add1("rx.RREQ")
+	n.hot(&n.ctr.rxRREQ, "rx.RREQ").Add1()
 
 	if n.ownsAddr(m.DIP) {
 		n.answerRREQ(m)
@@ -113,7 +113,7 @@ func (n *Node) handleRREQ(pkt *wire.Packet, m *wire.RREQ) {
 	}
 	fwd := *m
 	fwd.SRR = append(append([]wire.HopAttestation(nil), m.SRR...), n.hopAttestation(m.Seq))
-	n.met.Add1("fwd.RREQ")
+	n.hot(&n.ctr.fwdRREQ, "fwd.RREQ").Add1()
 	n.broadcastPacket(&wire.Packet{Src: pkt.Src, Dst: ipv6.AllNodes, TTL: pkt.TTL - 1, Msg: &fwd})
 }
 

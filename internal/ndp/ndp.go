@@ -327,40 +327,37 @@ func (i *Initiator) HandleDREP(m *wire.DREP) error {
 }
 
 // FloodCache is the bounded seen-set used to suppress duplicate flood
-// rebroadcasts (AREQ and RREQ both use it). Eviction is FIFO.
+// rebroadcasts (AREQ and RREQ both use it). Eviction is FIFO: once the
+// cache holds its capacity, remembering a new id forgets the oldest one.
+//
+// It is an AddrTable keyed by (src, seq): ids live inline in an
+// open-addressed index over a FIFO ring, both grown lazily, so a 10k-node
+// scenario's 40000-entry bound costs nothing until a node actually hears
+// that many floods.
 type FloodCache struct {
-	seen  map[floodKey]struct{}
-	order []floodKey
-	cap   int
-}
-
-type floodKey struct {
-	src ipv6.Addr
-	seq uint32
+	t AddrTable[struct{}]
 }
 
 // NewFloodCache creates a cache remembering up to capacity flood ids.
 func NewFloodCache(capacity int) *FloodCache {
+	f := &FloodCache{}
+	f.Init(capacity)
+	return f
+}
+
+// Init empties f and sets its capacity (1024 when capacity <= 0), so a
+// cache can live inline in a larger struct.
+func (f *FloodCache) Init(capacity int) {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &FloodCache{seen: make(map[floodKey]struct{}), cap: capacity}
+	f.t.Init(capacity)
 }
 
 // Seen marks (src, seq) and reports whether it had been seen before.
 func (f *FloodCache) Seen(src ipv6.Addr, seq uint32) bool {
-	k := floodKey{src, seq}
-	if _, dup := f.seen[k]; dup {
-		return true
-	}
-	f.seen[k] = struct{}{}
-	f.order = append(f.order, k)
-	if len(f.order) > f.cap {
-		delete(f.seen, f.order[0])
-		f.order = f.order[1:]
-	}
-	return false
+	return f.t.Put(AddrKey{Addr: src, Tag: seq}, struct{}{})
 }
 
 // Len reports the number of remembered ids.
-func (f *FloodCache) Len() int { return len(f.seen) }
+func (f *FloodCache) Len() int { return f.t.Len() }

@@ -44,12 +44,12 @@ const poisonByte = 0xDB
 // matched by a Put), and HighWater bounds the working set — it tracks
 // frames in flight, not run length.
 type Stats struct {
-	Gets     uint64 // buffers checked out (including oversize fallbacks)
-	Puts     uint64 // buffers returned
-	Misses   uint64 // Gets served by a fresh allocation (class empty)
-	Oversize uint64 // Gets beyond MaxClass (plain allocation, not poolable)
-	Live     int    // currently checked out (Gets - Puts)
-	HighWater int   // maximum Live ever observed
+	Gets      uint64 // buffers checked out (including oversize fallbacks)
+	Puts      uint64 // buffers returned
+	Misses    uint64 // Gets served by a fresh allocation (class empty)
+	Oversize  uint64 // Gets beyond MaxClass (plain allocation, not poolable)
+	Live      int    // currently checked out (Gets - Puts)
+	HighWater int    // maximum Live ever observed
 }
 
 // Pool is a set of per-size-class free lists of byte buffers.

@@ -105,7 +105,7 @@ func TestNilPoolDegradesToAllocation(t *testing.T) {
 	if len(b) != 0 || cap(b) < 100 {
 		t.Fatalf("nil pool Get: len=%d cap=%d", len(b), cap(b))
 	}
-	p.Put(b)      // must not panic
+	p.Put(b)          // must not panic
 	p.SetPoison(true) // must not panic
 	if st := p.Stats(); st != (Stats{}) {
 		t.Errorf("nil pool stats %+v, want zeros", st)

@@ -39,14 +39,26 @@ type Handler interface {
 	// and recycled once the last delivery completes. A handler that needs
 	// the bytes later must copy them (wire.Decode already copies every
 	// variable-length field, so decoding counts as copying).
-	Deliver(from NodeID, payload []byte)
+	//
+	// parse is the transmission's parse slot, shared by every receiver of
+	// this one transmission, or nil when the frame has no sharing
+	// receivers. It is nil-valued for the first receiver; a handler may
+	// store its parsed form of payload there (the medium never looks
+	// inside), and every later receiver of the same transmission finds
+	// it. Whatever the slot holds is shared: every receiver must treat it
+	// as read-only. The slot is valid only while the transmission's
+	// receiver loop runs — it is cleared after the last receiver — so a
+	// handler may keep what it found there only as long as it would keep
+	// its own parse.
+	Deliver(from NodeID, payload []byte, parse *any)
 }
 
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function to the Handler interface; it ignores the
+// parse slot.
 type HandlerFunc func(from NodeID, payload []byte)
 
 // Deliver implements Handler.
-func (f HandlerFunc) Deliver(from NodeID, payload []byte) { f(from, payload) }
+func (f HandlerFunc) Deliver(from NodeID, payload []byte, _ *any) { f(from, payload) }
 
 // PositionFunc reports a node's position at a virtual time (mobility.Track).
 type PositionFunc func(t sim.Time) geom.Point
@@ -807,6 +819,7 @@ type deliveryBatch struct {
 	frame   []byte
 	release bool
 	ports   []*port
+	parse   any // the receivers' shared parse slot (see Handler)
 	next    *deliveryBatch
 }
 
@@ -823,7 +836,8 @@ func (m *Medium) takeBatch() *deliveryBatch {
 // surviving receiver's handler in the order the loss process visited them
 // (attachment order), then releases the shared frame. Receivers that went
 // down between scheduling and delivery are skipped — the same check the
-// per-receiver events made.
+// per-receiver events made. All receivers share the batch's parse slot,
+// so the frame is parsed once per transmission, not once per receiver.
 func runBatch(v any) {
 	b := v.(*deliveryBatch)
 	m := b.m
@@ -835,16 +849,16 @@ func runBatch(v any) {
 			// Events the receiver schedules in reaction belong to the
 			// receiver's causal stream, not the transmitter's.
 			prev := m.sim.SetOwner(uint32(o.id) + 1)
-			o.handler.Deliver(b.from, b.frame)
+			o.handler.Deliver(b.from, b.frame, &b.parse)
 			m.sim.SetOwner(prev)
 		} else {
-			o.handler.Deliver(b.from, b.frame)
+			o.handler.Deliver(b.from, b.frame, &b.parse)
 		}
 	}
 	if b.release {
 		m.pool.Put(b.frame)
 	}
-	b.frame = nil
+	b.frame, b.parse = nil, nil
 	for i := range b.ports {
 		b.ports[i] = nil
 	}
@@ -1251,8 +1265,9 @@ func (m *Medium) complete(p *port, payload []byte, to *NodeID, acked func(bool))
 // --- Boundary-crossing injection (the sharded engine's inbound side) ---
 
 type injectedScan struct {
-	m   *Medium
-	msg ScanMsg
+	m     *Medium
+	msg   ScanMsg
+	parse any // the local receivers' shared parse slot (see Handler)
 }
 
 type injectedDeliver struct {
@@ -1262,7 +1277,7 @@ type injectedDeliver struct {
 
 func runInjectScan(v any) {
 	s := v.(*injectedScan)
-	s.m.runRemoteScan(s.msg)
+	s.m.runRemoteScan(s)
 }
 
 func runInjectDeliver(v any) {
@@ -1273,7 +1288,7 @@ func runInjectDeliver(v any) {
 		return
 	}
 	prev := m.sim.SetOwner(uint32(o.id) + 1)
-	o.handler.Deliver(d.msg.From, d.msg.Frame)
+	o.handler.Deliver(d.msg.From, d.msg.Frame, nil)
 	m.sim.SetOwner(prev)
 }
 
@@ -1305,8 +1320,10 @@ func (m *Medium) InjectDeliver(msg DeliverMsg) {
 // loss process draws the same content-keyed hashes a local evaluation
 // would, and surviving receivers that are still up get the frame. The
 // candidate radius is widened by the drift a bounded node can accumulate
-// between Sent and now, on top of the usual bucketing slop.
-func (m *Medium) runRemoteScan(msg ScanMsg) {
+// between Sent and now, on top of the usual bucketing slop. The surviving
+// receivers share one parse slot, like the receivers of a local batch.
+func (m *Medium) runRemoteScan(s *injectedScan) {
+	msg := s.msg
 	r2 := m.cfg.Range * m.cfg.Range
 	rm := m.cfg.Remote
 	collect := func(o *port) {
@@ -1325,7 +1342,7 @@ func (m *Medium) runRemoteScan(msg ScanMsg) {
 			return
 		}
 		prev := m.sim.SetOwner(uint32(o.id) + 1)
-		o.handler.Deliver(msg.From, msg.Frame)
+		o.handler.Deliver(msg.From, msg.Frame, &s.parse)
 		m.sim.SetOwner(prev)
 	}
 	if m.grid != nil {
@@ -1338,6 +1355,7 @@ func (m *Medium) runRemoteScan(msg ScanMsg) {
 			}
 		}
 	}
+	s.parse = nil
 }
 
 // deliver applies the per-receiver loss process and, when the frame
@@ -1351,7 +1369,7 @@ func (m *Medium) deliver(p, dst *port, payload []byte) bool {
 	m.stats.RxFrames++
 	m.sim.Do(m.cfg.PropDelay, func() {
 		if !dst.down {
-			dst.handler.Deliver(p.id, payload)
+			dst.handler.Deliver(p.id, payload, nil)
 		}
 	})
 	return true

@@ -17,7 +17,7 @@ type sink struct {
 	}
 }
 
-func (s *sink) Deliver(from NodeID, payload []byte) {
+func (s *sink) Deliver(from NodeID, payload []byte, _ *any) {
 	s.frames = append(s.frames, struct {
 		from    NodeID
 		payload string

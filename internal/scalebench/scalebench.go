@@ -420,7 +420,7 @@ func RunFormation(n int, k boot.Kind, seed int64, now func() time.Time) ScaleRes
 		Index:      k.String(),
 		Rounds:     1,
 		WallMS:     float64(wall.Nanoseconds()) / 1e6,
-		Events:     sc.S.Processed(),
+		Events:     sc.Events(),
 		Configured: configured,
 		VirtualS:   sc.S.Now().Seconds(),
 	}
@@ -474,7 +474,7 @@ func BuildAuditNetworkIndexed(n int, kind radio.IndexKind, seed int64) *AuditNet
 func RunAuditSweep(n int, kind radio.IndexKind, seed int64, rounds int, now func() time.Time) ScaleResult {
 	an := BuildAuditNetworkIndexed(n, kind, seed)
 	an.Round() // warm: neighbor tables and flood seen-sets
-	baseEvents := an.SC.S.Processed()
+	baseEvents := an.SC.Events()
 	start := now()
 	for r := 0; r < rounds; r++ {
 		an.Round()
@@ -493,7 +493,7 @@ func RunAuditSweep(n int, kind radio.IndexKind, seed int64, rounds int, now func
 		Index:  name,
 		Rounds: rounds,
 		WallMS: float64(wall.Nanoseconds()) / 1e6 / float64(rounds),
-		Events: an.SC.S.Processed() - baseEvents,
+		Events: an.SC.Events() - baseEvents,
 	}
 }
 

@@ -733,6 +733,17 @@ func (sc *Scenario) RunFor(d time.Duration) {
 // Engine returns the region-sharded engine, or nil on the serial path.
 func (sc *Scenario) Engine() *shard.Engine { return sc.eng }
 
+// Events returns the number of events the run has processed so far. On
+// the default engine that is S.Processed(); under sharding S is only the
+// barrier-synchronized global simulator, so the count sums it and every
+// region (shard.Engine.Events).
+func (sc *Scenario) Events() uint64 {
+	if sc.eng != nil {
+		return sc.eng.Events()
+	}
+	return sc.S.Processed()
+}
+
 // BindStats aggregates the shared binding-table counters over the run's
 // tables — the single serial table, or every region's. Zero when the
 // table is disabled; not part of the deterministic Result surface.

@@ -15,23 +15,73 @@ import (
 // Metrics accumulates named counters and sample sets. The zero value is not
 // usable; call NewMetrics.
 type Metrics struct {
-	counters map[string]float64
+	counters map[string]*cell
 	samples  map[string][]float64
 }
 
-// NewMetrics returns an empty metrics sink.
-func NewMetrics() *Metrics {
-	return &Metrics{counters: make(map[string]float64), samples: make(map[string][]float64)}
+// cell is one counter's storage. A cell created by Counter stays out of
+// every reading surface until its first increment sets live.
+type cell struct {
+	v    float64
+	live bool
 }
 
+// Counter is a stable reference to one named counter of a Metrics,
+// resolved once with Metrics.Counter. Incrementing through it is a pointer
+// update instead of a string hash, which is what the per-frame receive
+// and transmit paths want. The zero Counter is unresolved and must not be
+// incremented.
+//
+// A resolved counter materializes on its first increment, exactly as if
+// Inc had created it then: until that moment Get reads 0, CounterNames
+// omits it and Merge skips it, so resolving counters up front changes no
+// result.
+type Counter struct{ c *cell }
+
+// Resolved reports whether c refers to a counter.
+func (c Counter) Resolved() bool { return c.c != nil }
+
+// Inc adds v to the counter.
+func (c Counter) Inc(v float64) {
+	c.c.v += v
+	c.c.live = true
+}
+
+// Add1 increments the counter by one.
+func (c Counter) Add1() { c.Inc(1) }
+
+// NewMetrics returns an empty metrics sink.
+func NewMetrics() *Metrics {
+	return &Metrics{counters: make(map[string]*cell), samples: make(map[string][]float64)}
+}
+
+// cell returns the named counter's storage, creating it unmaterialized.
+func (m *Metrics) cell(name string) *cell {
+	c := m.counters[name]
+	if c == nil {
+		c = &cell{}
+		m.counters[name] = c
+	}
+	return c
+}
+
+// Counter resolves the named counter to a stable reference (see Counter).
+// Resolving the same name again returns the same counter.
+func (m *Metrics) Counter(name string) Counter { return Counter{m.cell(name)} }
+
 // Inc adds v to the named counter.
-func (m *Metrics) Inc(name string, v float64) { m.counters[name] += v }
+func (m *Metrics) Inc(name string, v float64) { Counter{m.cell(name)}.Inc(v) }
 
 // Add1 increments the named counter by one.
-func (m *Metrics) Add1(name string) { m.counters[name]++ }
+func (m *Metrics) Add1(name string) { Counter{m.cell(name)}.Inc(1) }
 
 // Get returns the counter's value (zero when never incremented).
-func (m *Metrics) Get(name string) float64 { return m.counters[name] }
+func (m *Metrics) Get(name string) float64 {
+	if c := m.counters[name]; c != nil {
+		return c.v
+	}
+	return 0
+}
 
 // Observe appends a sample to the named distribution.
 func (m *Metrics) Observe(name string, v float64) {
@@ -88,8 +138,10 @@ func (m *Metrics) DrainSamples() map[string][]float64 {
 
 // Merge adds other's counters and samples into m.
 func (m *Metrics) Merge(other *Metrics) {
-	for k, v := range other.counters {
-		m.counters[k] += v
+	for k, c := range other.counters {
+		if c.live {
+			m.Inc(k, c.v)
+		}
 	}
 	for k, s := range other.samples {
 		m.samples[k] = append(m.samples[k], s...)
@@ -99,8 +151,10 @@ func (m *Metrics) Merge(other *Metrics) {
 // CounterNames returns all counter names, sorted.
 func (m *Metrics) CounterNames() []string {
 	names := make([]string, 0, len(m.counters))
-	for k := range m.counters {
-		names = append(names, k)
+	for k, c := range m.counters {
+		if c.live {
+			names = append(names, k)
+		}
 	}
 	sort.Strings(names)
 	return names

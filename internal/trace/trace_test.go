@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -20,6 +21,53 @@ func TestCounters(t *testing.T) {
 	names := m.CounterNames()
 	if len(names) != 2 || names[0] != "bytes" || names[1] != "packets" {
 		t.Fatalf("CounterNames = %v", names)
+	}
+}
+
+// TestResolvedCounters holds a resolved counter to the by-name one it
+// replaces: invisible until its first increment, then the same value
+// through Get, CounterNames and Merge, and a result built from resolved
+// counters deep-equal to one built by name.
+func TestResolvedCounters(t *testing.T) {
+	m := NewMetrics()
+	var zero Counter
+	if zero.Resolved() {
+		t.Fatal("zero Counter reports resolved")
+	}
+	rx, tx := m.Counter("rx"), m.Counter("tx")
+	if !rx.Resolved() || m.Counter("rx") != rx {
+		t.Fatal("resolving a name twice must give the same counter")
+	}
+	if names := m.CounterNames(); len(names) != 0 {
+		t.Fatalf("unincremented resolved counters listed: %v", names)
+	}
+	merged := NewMetrics()
+	merged.Merge(m)
+	if names := merged.CounterNames(); len(names) != 0 {
+		t.Fatalf("Merge materialized unincremented counters: %v", names)
+	}
+
+	rx.Add1()
+	rx.Add1()
+	m.Add1("rx") // by name and by reference share one counter
+	tx.Inc(0)    // a zero increment still materializes, as Inc does
+	if m.Get("rx") != 3 || m.Get("tx") != 0 {
+		t.Fatalf("Get = %v, %v; want 3, 0", m.Get("rx"), m.Get("tx"))
+	}
+	if names := m.CounterNames(); !reflect.DeepEqual(names, []string{"rx", "tx"}) {
+		t.Fatalf("CounterNames = %v", names)
+	}
+
+	byName := NewMetrics()
+	byName.Add1("rx")
+	byName.Add1("rx")
+	byName.Add1("rx")
+	byName.Inc("tx", 0)
+	a, b := NewMetrics(), NewMetrics()
+	a.Merge(m)
+	b.Merge(byName)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("merged result of resolved counters differs from the by-name one")
 	}
 }
 

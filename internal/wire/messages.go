@@ -34,6 +34,10 @@ const (
 	TAuditObj // signed objection from a conflicting binding holder
 )
 
+// NumTypes is one past the highest defined Type, so a table indexed by
+// Type needs NumTypes entries.
+const NumTypes = int(TAuditObj) + 1
+
 // String names the message type as the paper does.
 func (t Type) String() string {
 	switch t {
