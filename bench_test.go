@@ -417,7 +417,7 @@ func benchmarkWireScale(b *testing.B, n int) {
 func BenchmarkWireScale1000(b *testing.B) { benchmarkWireScale(b, 1000) }
 func BenchmarkWireScale4000(b *testing.B) { benchmarkWireScale(b, 4000) }
 
-// --- scale: route-record verification with and without the memo cache ---
+// --- scale: route-record verification with and without the memo ---
 //
 // The crypto-layer companion to ScaleNodes: one node verifies the
 // duplicate-heavy chain stream of an N-node formation (see

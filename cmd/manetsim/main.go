@@ -15,8 +15,7 @@
 //	manetsim -n 2000 -boot percell -duration 10s    # concurrent per-cell formation
 //	manetsim -n 100 -boot percell -audit 5s         # post-formation audit sweep
 //	manetsim -n 100 -index naive                    # force the O(N) medium
-//	manetsim -n 100 -verifycache 0                  # disable crypto memoization
-//	manetsim -n 100 -bindtable 0                    # disable cross-node CGA dedup
+//	manetsim -n 100 -verifycache 0                  # disable the verification memo
 //	manetsim -n 2000 -shards 4 -duration 10s        # region-sharded core
 //	manetsim -n 16 -windows 1s -serve unix:/tmp/sbr6.sock   # daemon mode
 //	manetsim -connect unix:/tmp/sbr6.sock -call info        # client mode
@@ -51,9 +50,7 @@ func main() {
 		duration    = flag.Duration("duration", 30*time.Second, "measurement window")
 		index       = flag.String("index", "auto", "radio neighbor index: auto, naive or grid (results are identical)")
 		verifycache = flag.Int("verifycache", sbr6.DefaultVerifyCacheEntries,
-			"per-node memoized-verification cache entries (0 disables; results are identical)")
-		bindtable = flag.Int("bindtable", sbr6.DefaultBindTableEntries,
-			"shared cross-node CGA-binding table entries, one table per simulation or per shard region (0 disables; results are identical)")
+			"verification memo entries, one memo per simulation or per shard region (0 disables; results are identical)")
 		stagger    = flag.Duration("stagger", 0, "delay between DAD starts (0 = safe default; shrink it for 1k+ nodes)")
 		shards     = flag.Int("shards", 0, "spatial regions with independent event loops; results are identical for every count >= 1 (0 = classic unsharded core)")
 		bootPolicy = flag.String("boot", "serial", "bootstrap admission policy: serial or percell (concurrent per-cell formation)")
@@ -134,7 +131,6 @@ func main() {
 		opts = append(opts, sbr6.WithAuditSweep(*auditEvery))
 	}
 	opts = append(opts, sbr6.WithVerifyCache(*verifycache))
-	opts = append(opts, sbr6.WithBindingTable(*bindtable))
 	if *shards != 0 {
 		opts = append(opts, sbr6.WithShards(*shards))
 	}

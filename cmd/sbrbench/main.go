@@ -131,9 +131,9 @@ func runTrend(args []string, threshold float64) int {
 // runScaleSweep measures the constant-density flood workload (naive vs
 // grid medium), the wire-path workload (pooled vs allocating frames,
 // reported as exact allocations per broadcast), the verification workload
-// (direct vs memo cache), the binding-table workload (per-node memos vs
-// one shared table per verifier group, reported as exact primitive CGA
-// verifications) and the formation workload (serial vs per-cell
+// (direct vs memo), the memo workload (a verifier group with its shared
+// memo off vs on, reported as exact primitive signature verifications)
+// and the formation workload (serial vs per-cell
 // admission) at up to 10000 nodes, reporting wall time per round and the
 // speedups.
 func runScaleSweep(seed int64, rounds int, jsonOut bool) {
@@ -155,8 +155,8 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 		}
 	}
 	for _, n := range []int{1000, 4000, 10000} {
-		for _, shared := range []bool{false, true} {
-			results = append(results, scalebench.RunBindScale(n, shared, seed, rounds, time.Now))
+		for _, memo := range []bool{false, true} {
+			results = append(results, scalebench.RunMemoScale(n, memo, seed, rounds, time.Now))
 		}
 	}
 	for _, n := range []int{1000, 4000, 10000} {
@@ -202,8 +202,8 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 		"nodes", "nopool", "pool", "reduction", "wall ms/round")
 	cryptoT := trace.NewTable("verification scale sweep (wall ms per verify round)",
 		"nodes", "nocache", "cache", "speedup", "crypto ops saved")
-	bindT := trace.NewTable(fmt.Sprintf("binding table scale sweep (primitive CGA verifications, %d-node verifier group)", scalebench.BindVerifiers),
-		"nodes", "pernode", "shared", "reduction", "table hits")
+	memoT := trace.NewTable(fmt.Sprintf("verification memo scale sweep (primitive signature verifications, %d-node verifier group)", scalebench.BindVerifiers),
+		"nodes", "off", "on", "reduction", "memo hits")
 	formT := trace.NewTable("formation scale sweep (wall ms to fully addressed)",
 		"nodes", "serial", "percell", "speedup", "virtual time")
 	auditT := trace.NewTable("audit sweep cost (wall ms per sweep period)",
@@ -227,8 +227,8 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 				fmt.Sprintf("%.1f", a.WallMS), fmt.Sprintf("%.1f", b.WallMS),
 				fmt.Sprintf("%.1fx", a.WallMS/b.WallMS),
 				fmt.Sprintf("%d/%d", a.VerifyOps-b.VerifyOps, a.VerifyOps))
-		case "bindtable":
-			bindT.Add(fmt.Sprint(a.Nodes),
+		case "memo":
+			memoT.Add(fmt.Sprint(a.Nodes),
 				fmt.Sprint(a.VerifyOps), fmt.Sprint(b.VerifyOps),
 				fmt.Sprintf("%.1fx", float64(1+a.VerifyOps)/float64(1+b.VerifyOps)),
 				fmt.Sprint(b.CacheHits))
@@ -251,7 +251,7 @@ func runScaleSweep(seed int64, rounds int, jsonOut bool) {
 	fmt.Println(radioT.String())
 	fmt.Println(wireT.String())
 	fmt.Println(cryptoT.String())
-	fmt.Println(bindT.String())
+	fmt.Println(memoT.String())
 	fmt.Println(formT.String())
 	fmt.Println(auditT.String())
 	fmt.Println(shardT.String())

@@ -187,50 +187,34 @@
 // identity) make both sides rekey, since nothing protocol-visible can
 // tell original from copy. Scenario.PartitionSpec stages a disjoint
 // cluster that merges mid-run, the shape the merge conformance tests
-// drive. Verification rides the memo cache and a conflict-free sweep
+// drive. Verification rides the memo and a conflict-free sweep
 // verifies nothing at all, so the standing cost is one signature per
 // node per period plus TTL-bounded relaying (flat per node with N at
 // constant density — BenchmarkAuditSweep asserts both). The sweep is off
 // by default, and disabling it is a byte-for-byte no-op, enforced by the
 // differential half of the audit conformance suite in internal/audit.
 //
-// # Verification cache
+// # Verification memo
 //
-// Every node memoizes its cryptographic checks — CGA bindings, signature
-// verifications and whole route-record chains — in a bounded LRU keyed by
-// SHA-256 digests of the full verified content (internal/verifycache).
-// Because both checks are pure functions of that content, a hit is
-// exactly the verdict recomputation would produce: cached and uncached
-// runs yield byte-for-byte identical per-seed Results (enforced by the
-// differential suite in internal/verifycache, adversaries included), and
-// nothing keyed by less than the full content or dependent on mutable
-// local state is ever memoized. What changes is only the number of
-// primitive crypto operations, which is what makes 10k-node formations
-// affordable: duplicate flood copies, re-served CREP attestations and
-// repeated RERRs stop costing signature verifications. The crypto.verify
-// metric deliberately counts logical requests (identical either way);
-// primitive-operation savings are reported by the cache's own Stats.
-// The cache is on by default; WithVerifyCache bounds or disables it.
-//
-// # Shared binding table
-//
-// The per-node memo dedups repeated checks across time at one node; the
-// shared CGA-binding table (internal/bindtable) dedups the first check
-// across nodes. One read-mostly table per simulation — or one per
-// region under WithShards, populated only by that region's event loop
-// and exchanged at no barrier — maps the content digest of one
-// (address, public key, modifier) binding to its cga.Verify verdict, so
-// a flood binding verified by any node is served, positive or negative,
-// to every later node in the same region. Verdicts are pure functions
-// of the digested bytes, so serving one changes no behavior: table on,
-// off and paranoid (every served verdict recomputed, disagreement
-// panics) runs are byte-for-byte identical, enforced by the
-// differential suite in internal/bindtable across the scenario matrix,
-// seeds and shard counts, with cross-node poisoning probes in
-// internal/bindtable and internal/core. The crypto.verify metric still
-// counts logical requests per node; primitives absorbed across nodes
-// are the table's own Stats. On by default beneath every node's memo;
-// WithBindingTable bounds or disables it.
+// Every CGA binding, signature check and whole route-record chain is
+// memoized in one bounded memo per event loop (internal/verifycache):
+// one per simulation, or one per region under WithShards, populated only
+// by that region's loop and exchanged at no barrier. Keys are SHA-256
+// digests of every byte a check reads, so a verdict any node on the loop
+// computed is served, positive or negative, to every later node —
+// duplicate flood copies, re-served CREP attestations, repeated RERRs and
+// other hearers of the same flood stop costing primitives. The memo keeps
+// two generations of half its bound each, swapping when the young one
+// fills, so recently used content survives and a long session keeps
+// hitting without a per-entry list. Verdicts are pure functions of the
+// digested bytes, so memo on, off and paranoid (every hit recomputed,
+// disagreement panics) runs are byte-for-byte identical, enforced by the
+// differential suite in internal/verifycache across scenarios, seeds and
+// shard counts, with cross-node poisoning probes in internal/verifycache
+// and internal/core. The crypto.verify metric counts logical requests
+// (identical either way); primitives absorbed are the memo's own Stats,
+// per node via Node.VerifyCacheStats. The memo is on by default;
+// WithVerifyCache bounds or disables it.
 //
 // # The region-sharded core
 //

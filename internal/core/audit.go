@@ -3,7 +3,6 @@ package core
 import (
 	"sbr6/internal/audit"
 	"sbr6/internal/ipv6"
-	"sbr6/internal/ndp"
 	"sbr6/internal/wire"
 )
 
@@ -48,20 +47,6 @@ func (n *Node) auditTTL() uint8 {
 // the original's (their challenges differ), exactly like areqKey.
 func auditAdvKey(m *wire.AuditAdv) uint32 {
 	return m.Seq ^ uint32(m.Ch) ^ uint32(m.Ch>>32)
-}
-
-// verifier returns the node's memoizing verifier: the cache when
-// enabled (it consults the shared binding table beneath), the table
-// adapter when only the table is on, and nil for the documented
-// direct-computation fallback (a typed-nil interface would bypass it).
-func (n *Node) verifier() ndp.Verifier {
-	if n.vcache != nil {
-		return n.vcache
-	}
-	if n.bindings != nil {
-		return tableVerifier{n.bindings}
-	}
-	return nil
 }
 
 func (n *Node) handleAuditAdv(pkt *wire.Packet, m *wire.AuditAdv) {
@@ -114,7 +99,7 @@ func (n *Node) handleConflictingAdv(m *wire.AuditAdv) {
 		return
 	}
 	n.met.Add1("crypto.verify")
-	if err := audit.ValidateAdv(n.verifier(), m, mine.Pub.Suite()); err != nil {
+	if err := audit.ValidateAdv(&n.vc, m, mine.Pub.Suite()); err != nil {
 		n.met.Add1("audit.adv_rejected")
 		return
 	}
@@ -137,7 +122,7 @@ func (n *Node) handleAuditObj(pkt *wire.Packet, m *wire.AuditObj) {
 	}
 	mine := n.ident
 	n.met.Add1("crypto.verify")
-	if err := audit.ValidateObj(n.verifier(), m, mine.Pub.Suite(), n.auditCh); err != nil {
+	if err := audit.ValidateObj(&n.vc, m, mine.Pub.Suite(), n.auditCh); err != nil {
 		n.met.Add1("audit.obj_rejected")
 		return
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/credit"
 	"sbr6/internal/dnssrv"
 	"sbr6/internal/dsr"
@@ -48,27 +47,20 @@ type Config struct {
 	// MaxSalvage bounds how often one packet may be salvaged.
 	MaxSalvage uint8
 
-	// VerifyCache bounds the per-node memoized-verification cache
-	// (internal/verifycache): CGA bindings, signature checks and whole
-	// route-record chains are cached under content digests. 0 selects
-	// verifycache.DefaultEntries (the cache is on by default); a negative
-	// value disables memoization entirely. Runs with and without the
-	// cache produce byte-for-byte identical results — the cache only
-	// avoids recomputing checks whose full input was seen before.
+	// VerifyCache bounds the verification memo (internal/verifycache)
+	// the scenario builds for each event loop — one per simulation, or
+	// one per region under the sharded core — and attaches to every node
+	// on it: CGA bindings, signature checks and whole route-record chains
+	// are memoized under content digests and shared across those nodes.
+	// 0 selects verifycache.DefaultEntries (the memo is on by default); a
+	// negative value disables memoization entirely. Runs with and without
+	// the memo produce byte-for-byte identical results — it only avoids
+	// recomputing pure checks whose full input was seen before.
 	VerifyCache int
-	// BindTable bounds the shared read-mostly CGA-binding table
-	// (internal/bindtable) the scenario attaches beneath every node's
-	// memo: one table per simulation, or one per region under the
-	// sharded core. 0 selects bindtable.DefaultEntries (the table is on
-	// by default); a negative value disables cross-node sharing. Runs
-	// with and without the table produce byte-for-byte identical
-	// results — it only avoids recomputing a pure function another node
-	// already evaluated on the same event loop.
-	BindTable int
-	// BindParanoia makes every binding-table hit recompute the
-	// primitive and panic on disagreement — the "poisoned" arm of the
-	// differential suite, never on in production runs.
-	BindParanoia bool
+	// VerifyParanoia makes every memo hit recompute its check and panic
+	// on disagreement — the poisoned arm of the differential suite,
+	// never on in production runs.
+	VerifyParanoia bool
 	// FloodCache bounds each per-node duplicate-flood suppression set
 	// (AREQ, RREQ and DNS-control floods). 0 selects 4096 entries —
 	// enough below ~1000 nodes; the scenario harness scales it with the
@@ -193,13 +185,9 @@ type Node struct {
 	// protocol once the fresh address survives its objection window.
 	auditRebind *pendingRebind
 
-	// vcache memoizes CGA-binding and signature checks (nil = disabled;
-	// every verify helper is nil-safe and computes directly).
-	vcache *verifycache.Cache
-	// bindings is the simulation- or region-shared CGA-binding table
-	// (nil = disabled). With a cache it sits beneath the memo's CGA
-	// miss path; without one it still dedups bindings across nodes.
-	bindings *bindtable.Table
+	// vc routes every CGA-binding, signature and chain check through the
+	// event loop's shared memo (a View without a memo computes directly).
+	vc verifycache.View
 
 	routes  *dsr.Cache
 	credits *credit.Table
@@ -302,13 +290,9 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 	if floodCap <= 0 {
 		floodCap = 4096
 	}
-	var vc *verifycache.Cache
-	if cfg.VerifyCache >= 0 {
-		vc = verifycache.New(cfg.VerifyCache) // 0 selects the default size
-	}
 	n := &Node{
 		sim: s, medium: medium, link: link, ident: ident, dnsPub: dnsPub,
-		cfg: cfg, rng: rng, met: met, vcache: vc,
+		cfg: cfg, rng: rng, met: met,
 		routes:      dsr.NewCache(ident.Addr, sim.Duration(cfg.RouteTTL), 3),
 		credits:     credit.New(cfg.Credit),
 		pending:     make(map[ipv6.Addr]*discovery),
@@ -323,12 +307,7 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 		f.Init(floodCap)
 	}
 	n.autoconf = ndp.NewInitiator(s, rng, ident, dnsPub, cfg.DAD)
-	if n.vcache != nil {
-		// Leave Verify nil when the cache is disabled so ndp takes its
-		// documented direct-computation fallback (a typed-nil interface
-		// would bypass it).
-		n.autoconf.Verify = n.vcache
-	}
+	n.autoconf.Verify = &n.vc
 	n.autoconf.SendAREQ = n.sendAREQ
 	n.autoconf.OnConfigured = n.dadDone
 	n.autoconf.Rename = func(old string) string { return old + "-r" }
@@ -337,48 +316,17 @@ func New(s *sim.Simulator, medium *radio.Medium, link radio.NodeID, ident *ident
 
 // AttachDNS makes this node the MANET's DNS server; it then also owns the
 // well-known anycast address ipv6.DNS1. The server's CGA and signature
-// checks route through this node's memoized verifier so their cost lands
-// in the same Stats as every other check the node performs.
+// checks route through this node's memo View so their cost lands in the
+// same Stats as every other check the node performs.
 func (n *Node) AttachDNS(srv *dnssrv.Server) {
 	n.dns = srv
-	srv.Verifier = n.verifier()
+	srv.Verifier = &n.vc
 }
 
-// SetBindings attaches the shared CGA-binding table. The scenario calls
-// it once per node right after construction: with the memo cache on, the
-// cache consults the table on local misses; with the cache disabled, the
-// table alone still dedups bindings across nodes.
-func (n *Node) SetBindings(t *bindtable.Table) {
-	if t == nil {
-		return
-	}
-	n.bindings = t
-	if n.vcache != nil {
-		n.vcache.SetShared(t)
-	} else {
-		// ndp's pluggable checks flow through the table adapter. Only
-		// assign when the table exists — a typed-nil interface would
-		// defeat ndp's documented direct-computation fallback.
-		n.autoconf.Verify = tableVerifier{t}
-	}
-	if n.dns != nil {
-		n.dns.Verifier = n.verifier()
-	}
-}
-
-// tableVerifier is the ndp.Verifier of a node whose per-node memo is
-// disabled but whose simulation shares a binding table: CGA checks go
-// through the table, signature checks compute directly (the table holds
-// only bindings).
-type tableVerifier struct{ t *bindtable.Table }
-
-func (v tableVerifier) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	return v.t.Verify(addr, pk, rn)
-}
-
-func (v tableVerifier) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
-	return pk.Verify(msg, sig)
-}
+// SetMemo attaches the verification memo of the node's event loop. The
+// scenario calls it once per node right after construction; a node
+// without one (or given nil) computes every check directly.
+func (n *Node) SetMemo(m *verifycache.Memo) { n.vc = m.View() }
 
 // Accessors used by scenarios, examples and the attack package.
 
@@ -538,30 +486,26 @@ func (n *Node) sign(msg []byte) []byte {
 }
 
 // verify counts one logical signature verification and performs it through
-// the memo cache when enabled. The counter tracks verification *requests*,
-// not primitive operations, so cached and uncached runs stay byte-for-byte
-// identical; the cache's own Stats record how many primitives were avoided.
+// the memo. The counter tracks verification *requests*, not primitive
+// operations, so memoized and direct runs stay byte-for-byte identical;
+// the memo's own Stats record how many primitives were avoided.
 func (n *Node) verify(pk identity.PublicKey, msg, sig []byte) bool {
 	n.met.Add1("crypto.verify")
-	return n.vcache.VerifySig(pk, msg, sig)
+	return n.vc.VerifySig(pk, msg, sig)
 }
 
-// verifyCGA checks the CGA binding addr == H(pk, rn) through the memo
-// cache, which in turn consults the shared binding table on a local miss.
-// With the cache disabled the table (nil-safe) is checked alone. CGA
-// checks are not counted under crypto.verify (they never were: the
+// verifyCGA checks the CGA binding addr == H(pk, rn) through the memo.
+// CGA checks are not counted under crypto.verify (they never were: the
 // counter follows the paper's signature-operation accounting).
 func (n *Node) verifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	if n.vcache == nil {
-		return n.bindings.Verify(addr, pk, rn)
-	}
-	return n.vcache.VerifyCGA(addr, pk, rn)
+	return n.vc.VerifyCGA(addr, pk, rn)
 }
 
-// VerifyCacheStats exposes the memo cache's traffic counters (zero when
-// the cache is disabled). The benchmarks and the differential suite use
-// it to prove the primitive-operation count actually drops.
-func (n *Node) VerifyCacheStats() verifycache.Stats { return n.vcache.Stats() }
+// VerifyCacheStats exposes this node's own lookups on the shared memo
+// (zero when memoization is off), so summing over nodes gives the memos'
+// totals. The benchmarks and the differential suite use it to prove the
+// primitive-operation count actually drops.
+func (n *Node) VerifyCacheStats() verifycache.Stats { return n.vc.Stats() }
 
 // VerifyRouteRecord runs the Section 3.3 route-record verification on m,
 // exactly as the destination and CREP-serving intermediates do. Exported

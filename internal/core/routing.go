@@ -134,29 +134,23 @@ func (n *Node) hopAttestation(seq uint32) wire.HopAttestation {
 // signature over (IP, seq).
 //
 // The whole walk is memoized under a digest of every byte it reads (the
-// flood-level dedup): a node that already verified this exact source/hop
-// chain — a duplicate flood copy re-presented after the seen-set evicted
-// its id, or the same chain re-offered to the CREP path — replays the
-// stored verdict and its verification accounting instead of redoing the
-// per-hop crypto.
+// flood-level dedup): a node on the same event loop that already verified
+// this exact source/hop chain — a duplicate flood copy re-presented after
+// the seen-set evicted its id, the same chain re-offered to the CREP path,
+// or another hearer of the same flood — replays the stored verdict and its
+// verification accounting instead of redoing the per-hop crypto.
 func (n *Node) verifySRR(m *wire.RREQ) error {
-	if n.vcache != nil {
-		key := srrChainKey(m)
-		if err, verifies, ok := n.vcache.ChainLookup(key); ok {
-			n.met.Inc("crypto.verify", float64(verifies))
-			return err
-		}
-		before := n.met.Get("crypto.verify")
-		err := n.verifySRRSlow(m)
-		n.vcache.ChainStore(key, err, int(n.met.Get("crypto.verify")-before))
-		return err
+	err, verifies := n.vc.VerifyChain(n.cfg.Suite,
+		func(d *verifycache.Digest) { srrChainContent(d, m) },
+		func(v *verifycache.View) (error, int) { return walkSRR(v, n.cfg.Suite, m) })
+	if verifies > 0 {
+		n.met.Inc("crypto.verify", float64(verifies))
 	}
-	return n.verifySRRSlow(m)
+	return err
 }
 
-// srrChainKey digests the full content verifySRRSlow reads.
-func srrChainKey(m *wire.RREQ) verifycache.Key {
-	d := verifycache.NewChainDigest()
+// srrChainContent digests the full content walkSRR reads.
+func srrChainContent(d *verifycache.Digest, m *wire.RREQ) {
 	d.Bytes(m.SIP[:])
 	d.U32(m.Seq)
 	d.Bytes(m.SPK)
@@ -168,33 +162,35 @@ func srrChainKey(m *wire.RREQ) verifycache.Key {
 		d.U64(h.Rn)
 		d.Bytes(h.Sig)
 	}
-	return d.Key()
 }
 
-func (n *Node) verifySRRSlow(m *wire.RREQ) error {
-	spk, err := identity.ParsePublicKey(n.cfg.Suite, m.SPK)
+// walkSRR performs the per-hop checks through v, returning the verdict and
+// how many logical signature verifications it ran before deciding.
+func walkSRR(v *verifycache.View, suite identity.Suite, m *wire.RREQ) (error, int) {
+	spk, err := identity.ParsePublicKey(suite, m.SPK)
 	if err != nil {
-		return errBadIdentity("source key", err)
+		return errBadIdentity("source key", err), 0
 	}
-	if !n.verifyCGA(m.SIP, m.SPK, m.Srn) {
-		return errVerify("source CGA binding")
+	if !v.VerifyCGA(m.SIP, m.SPK, m.Srn) {
+		return errVerify("source CGA binding"), 0
 	}
-	if !n.verify(spk, wire.SigRREQSource(m.SIP, m.Seq), m.SrcSig) {
-		return errVerify("source signature")
+	if !v.VerifySig(spk, wire.SigRREQSource(m.SIP, m.Seq), m.SrcSig) {
+		return errVerify("source signature"), 1
 	}
 	for i, h := range m.SRR {
-		pk, err := identity.ParsePublicKey(n.cfg.Suite, h.PK)
+		verifies := i + 1
+		pk, err := identity.ParsePublicKey(suite, h.PK)
 		if err != nil {
-			return errBadIdentity("hop key", err)
+			return errBadIdentity("hop key", err), verifies
 		}
-		if !n.verifyCGA(h.IP, h.PK, h.Rn) {
-			return errVerifyHop("hop CGA binding", i)
+		if !v.VerifyCGA(h.IP, h.PK, h.Rn) {
+			return errVerifyHop("hop CGA binding", i), verifies
 		}
-		if !n.verify(pk, wire.SigHop(h.IP, m.Seq), h.Sig) {
-			return errVerifyHop("hop signature", i)
+		if !v.VerifySig(pk, wire.SigHop(h.IP, m.Seq), h.Sig) {
+			return errVerifyHop("hop signature", i), verifies + 1
 		}
 	}
-	return nil
+	return nil, len(m.SRR) + 1
 }
 
 // answerRREQ is the destination side: verify the secure route record, then

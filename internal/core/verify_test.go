@@ -10,6 +10,7 @@ import (
 	"sbr6/internal/ipv6"
 	"sbr6/internal/radio"
 	"sbr6/internal/sim"
+	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -31,6 +32,7 @@ func newVerifier(t *testing.T) (*Node, []*identity.Identity) {
 		t.Fatal(err)
 	}
 	n := New(s, medium, 0, ident, dnsIdent.Pub, DefaultConfig(), rand.New(rand.NewSource(3)), nil)
+	n.SetMemo(verifycache.New(0))
 	medium.AddNode(0, func(sim.Time) geom.Point { return geom.Point{} }, n)
 	n.StartConfigured()
 	n.AttachDNS(dnssrv.New(s, rand.New(rand.NewSource(4)), dnsIdent, dnssrv.DefaultConfig(), nil))

@@ -55,11 +55,11 @@ type pendingReg struct {
 // Server is the DNS server state machine.
 type Server struct {
 	// Verifier, when set by the owning node, routes the server's CGA
-	// and signature checks through that node's memoized verification
-	// path (verify cache and shared binding table) so their cost lands
-	// in the same Stats as every other check. nil computes directly —
-	// historically these checks bypassed the memo entirely, which made
-	// them invisible to cache accounting and to the cross-node dedup.
+	// and signature checks through that node's view of the verification
+	// memo so their cost lands in the same Stats as every other check.
+	// nil computes directly — historically these checks bypassed the
+	// memo entirely, which made them invisible to its accounting and to
+	// the cross-node dedup.
 	Verifier ndp.Verifier
 
 	clock   ndp.Clock

@@ -86,12 +86,11 @@ func TestScoped(t *testing.T) {
 		{"sbr6/internal/core [sbr6/internal/core.test]", true},
 		{"sbr6/internal/core_test [sbr6/internal/core.test]", false},
 		{"sbr6/internal/identity", false},
-		{"sbr6/internal/verifycache", false},
 		{"sbr6/internal/lint/analyzers", false},
 		{"sbr6", false},
 		{"sbr6/internal/wire", true},
 		{"sbr6/internal/shard", true},
-		{"sbr6/internal/bindtable", true},
+		{"sbr6/internal/verifycache", true},
 		{"sbr6/internal/dnssrv", true},
 	} {
 		if got := Scoped(tc.path); got != tc.want {
@@ -111,7 +110,7 @@ func TestScopedDir(t *testing.T) {
 		{"./internal/scenario", true},
 		{"/root/repo/internal/wire", true},
 		{"internal/shard", true},
-		{"internal/bindtable", true},
+		{"internal/verifycache", true},
 		{"internal/dnssrv", true},
 		{"internal/identity", false},
 		{"internal/lint/analyzers", false},

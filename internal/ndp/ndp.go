@@ -39,7 +39,7 @@ var (
 )
 
 // Verifier abstracts the two primitive checks so a node can route them
-// through its memoized verification cache (internal/verifycache
+// through its view of the verification memo (a *verifycache.View
 // implements it). A nil Verifier means direct computation.
 type Verifier interface {
 	VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool
@@ -191,8 +191,8 @@ type Initiator struct {
 	// SendAREQ floods the request; the node wires it to the radio.
 	SendAREQ func(m *wire.AREQ)
 	// Verify, when non-nil, routes the objection checks through a
-	// (possibly memoized) verifier; the owning node wires its
-	// verification cache here.
+	// (possibly memoized) verifier; the owning node wires its view of
+	// the verification memo here.
 	Verify Verifier
 	// OnConfigured fires when DAD succeeds.
 	OnConfigured func()

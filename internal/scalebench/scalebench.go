@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/geom"
@@ -33,6 +32,7 @@ import (
 	"sbr6/internal/scenario"
 	"sbr6/internal/shard"
 	"sbr6/internal/sim"
+	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -527,11 +527,11 @@ func (an *AuditNetwork) VerifyOps() uint64 {
 	return ops
 }
 
-// --- crypto workload: verification with and without the memo cache ---
+// --- crypto workload: verification with and without the memo ---
 //
 // Crypto workload: the Section 3.3 verification stream one node processes
 // during formation of an n-node network, replayed against a real
-// core.Node so the exact protocol path (verifySRR, memo cache included)
+// core.Node so the exact protocol path (verifySRR, memo included)
 // is what gets measured. Each epoch brings a batch of freshly signed
 // route-record chains over a population of n identities — new discovery
 // floods carry new sequence numbers, so their signatures cannot be
@@ -574,11 +574,10 @@ func BuildCryptoNetwork(n int, cached bool, seed int64, epochs int) *CryptoNetwo
 		return id
 	}
 	dns := mustIdent("dns")
-	cfg := core.DefaultConfig()
-	if !cached {
-		cfg.VerifyCache = -1
+	node := core.New(s, medium, 0, mustIdent(""), dns.Pub, core.DefaultConfig(), rng, nil)
+	if cached {
+		node.SetMemo(verifycache.New(0))
 	}
-	node := core.New(s, medium, 0, mustIdent(""), dns.Pub, cfg, rng, nil)
 	node.StartConfigured()
 
 	pop := make([]*identity.Identity, n)
@@ -633,44 +632,42 @@ func (cn *CryptoNetwork) Round() {
 	}
 }
 
-// --- bindtable workload: shared CGA-binding table vs per-node memos ---
+// --- memo workload: a verifier group with the shared memo off and on ---
 //
 // The cross-node companion to the crypto workload: the same duplicated
 // route-record streams, but verified by a group of co-located nodes —
 // the shape of a flood epoch, where every node in a neighbourhood sees
-// copies of the same chains. Each node's verify cache dedups its own
-// copies either way; what the shared table dedups is the *first*
-// encounter at every node after the first. The measured quantity is the
-// primitive CGA verification count, not wall time: in this
-// deterministic workload it is exact and machine-independent (the wire
-// workload's allocs-per-op argument), and the expected pernode/shared
-// ratio is the verifier-group size itself. Identities are minted fresh
-// per epoch — reusing a population would let every node's local memo
-// absorb all bindings after the warmup epoch and both cells' deltas
-// would collapse to zero.
+// copies of the same chains. With the memo off every node computes every
+// copy; with the group's one memo each chain is walked once, by whichever
+// node sees it first, and every other copy at every node is a chain hit.
+// The measured quantity is the primitive signature verification count,
+// not wall time: in this deterministic workload it is exact and
+// machine-independent (the wire workload's allocs-per-op argument), and
+// the expected off/on ratio is the group size times CryptoDuplicates.
+// Identities are minted fresh per epoch, so no epoch's content was seen
+// in an earlier one.
 
-// BindVerifiers is the verifier-group size of the bindtable workload:
-// the nodes sharing one region's table, sized to the scale sweep's mean
-// degree (~12) rounded to the shard count.
+// BindVerifiers is the verifier-group size of the memo workload: the
+// nodes sharing one region's memo, sized to the scale sweep's mean degree
+// (~12) rounded to the shard count.
 const BindVerifiers = 8
 
-// BindNetwork is a group of verifier nodes plus the pre-signed
-// verification streams, one per round. The shared variant wires every
-// node's memo to one binding table; the pernode variant leaves each
-// node to compute its own misses.
-type BindNetwork struct {
+// MemoNetwork is a group of verifier nodes plus the pre-signed
+// verification streams, one per round. The "on" variant attaches one
+// memo to every node; the "off" variant computes every check directly.
+type MemoNetwork struct {
 	Nodes []*core.Node
-	Table *bindtable.Table // nil in the pernode variant
+	Memo  *verifycache.Memo // nil in the off variant
 
 	epochs [][]*wire.RREQ
 	next   int
 }
 
-// BuildBindNetwork constructs the workload for `epochs` rounds at
-// n-node scale: BindVerifiers memoizing nodes, and per epoch
-// max(n/32, 8) fresh chains (fresh source and hop identities every
-// epoch) each presented CryptoDuplicates times to every node.
-func BuildBindNetwork(n int, shared bool, seed int64, epochs int) *BindNetwork {
+// BuildMemoNetwork constructs the workload for `epochs` rounds at n-node
+// scale: BindVerifiers nodes, and per epoch max(n/32, 8) fresh chains
+// (fresh source and hop identities every epoch) each presented
+// CryptoDuplicates times to every node.
+func BuildMemoNetwork(n int, memo bool, seed int64, epochs int) *MemoNetwork {
 	s := sim.New(seed)
 	medium := radio.New(s, radio.DefaultConfig())
 	rng := newRand(seed)
@@ -683,15 +680,15 @@ func BuildBindNetwork(n int, shared bool, seed int64, epochs int) *BindNetwork {
 		return id
 	}
 	dns := mustIdent("dns")
-	bn := &BindNetwork{}
-	if shared {
-		bn.Table = bindtable.New(0)
+	mn := &MemoNetwork{}
+	if memo {
+		mn.Memo = verifycache.New(0)
 	}
 	for i := 0; i < BindVerifiers; i++ {
 		node := core.New(s, medium, radio.NodeID(i), mustIdent(""), dns.Pub, core.DefaultConfig(), rng, nil)
 		node.StartConfigured()
-		node.SetBindings(bn.Table) // nil table: no-op, per-node misses compute
-		bn.Nodes = append(bn.Nodes, node)
+		node.SetMemo(mn.Memo)
+		mn.Nodes = append(mn.Nodes, node)
 	}
 
 	fresh := n / 32
@@ -723,17 +720,17 @@ func BuildBindNetwork(n int, shared bool, seed int64, epochs int) *BindNetwork {
 		for pass := 0; pass < CryptoDuplicates; pass++ {
 			stream = append(stream, chains...)
 		}
-		bn.epochs = append(bn.epochs, stream)
+		mn.epochs = append(mn.epochs, stream)
 	}
-	return bn
+	return mn
 }
 
 // Round presents one epoch's stream to every node; every chain is
 // honest, so any rejection is a bug.
-func (bn *BindNetwork) Round() {
-	stream := bn.epochs[bn.next%len(bn.epochs)]
-	bn.next++
-	for _, node := range bn.Nodes {
+func (mn *MemoNetwork) Round() {
+	stream := mn.epochs[mn.next%len(mn.epochs)]
+	mn.next++
+	for _, node := range mn.Nodes {
 		for _, m := range stream {
 			if err := node.VerifyRouteRecord(m); err != nil {
 				panic(fmt.Sprintf("scalebench: honest chain rejected: %v", err))
@@ -742,54 +739,39 @@ func (bn *BindNetwork) Round() {
 	}
 }
 
-// cgaMisses sums the nodes' local CGA miss counters — in the pernode
-// variant every local miss computes the primitive.
-func (bn *BindNetwork) cgaMisses() uint64 {
-	var misses uint64
-	for _, node := range bn.Nodes {
-		misses += node.VerifyCacheStats().CGAMisses
+// requests sums the nodes' logical signature verification counters.
+func (mn *MemoNetwork) requests() uint64 {
+	var req uint64
+	for _, node := range mn.Nodes {
+		req += uint64(node.Metrics().Get("crypto.verify"))
 	}
-	return misses
+	return req
 }
 
-// RunBindScale measures the bindtable workload at n nodes with the
-// shared table attached or absent. One warmup epoch runs untimed; the
-// logical request count is identical in both variants (the differential
-// bar), only where the primitive computes moves.
-func RunBindScale(n int, shared bool, seed int64, rounds int, now func() time.Time) ScaleResult {
-	bn := BuildBindNetwork(n, shared, seed, rounds+1)
-	bn.Round() // warm: sig memos for epoch-stable keys, table plumbing
-	var baseReq uint64
-	for _, node := range bn.Nodes {
-		baseReq += uint64(node.Metrics().Get("crypto.verify"))
-	}
-	baseMisses := bn.cgaMisses()
-	var baseTable bindtable.Stats
-	if bn.Table != nil {
-		baseTable = bn.Table.Stats()
-	}
+// RunMemoScale measures the memo workload at n nodes with the group's memo
+// on or off. One warmup epoch runs untimed; the logical request count is
+// identical in both variants (the differential bar), only how many of
+// those requests reach the primitive changes.
+func RunMemoScale(n int, memo bool, seed int64, rounds int, now func() time.Time) ScaleResult {
+	mn := BuildMemoNetwork(n, memo, seed, rounds+1)
+	mn.Round()
+	baseReq, baseStats := mn.requests(), mn.Memo.Stats()
 	start := now()
 	for r := 0; r < rounds; r++ {
-		bn.Round()
+		mn.Round()
 	}
 	wall := now().Sub(start)
 
-	var req uint64
-	for _, node := range bn.Nodes {
-		req += uint64(node.Metrics().Get("crypto.verify"))
-	}
-	req -= baseReq
-	name := "pernode"
-	ops := bn.cgaMisses() - baseMisses // no table: every local miss computes
-	var hits uint64
-	if shared {
-		name = "shared"
-		ts := bn.Table.Stats()
-		ops = ts.Misses - baseTable.Misses
-		hits = ts.Hits - baseTable.Hits
+	req := mn.requests() - baseReq
+	name, ops, hits := "off", req, uint64(0) // without the memo every request computes
+	if memo {
+		st := mn.Memo.Stats()
+		name = "on"
+		ops = st.SigMisses - baseStats.SigMisses
+		hits = st.Hits() - baseStats.Hits()
 	}
 	return ScaleResult{
-		Mode:           "bindtable",
+		Mode:           "memo",
 		Nodes:          n,
 		Index:          name,
 		Rounds:         rounds,

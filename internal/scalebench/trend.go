@@ -35,7 +35,7 @@ var ratioPairs = map[string]ratioPair{
 	"wire":      {base: "nopool", opt: "pool"},
 	"shard":     {base: "serial", opt: "sharded"},
 	"audit":     {base: "naive", opt: "grid"},
-	"bindtable": {base: "pernode", opt: "shared"},
+	"memo":      {base: "off", opt: "on"},
 }
 
 // cellValue is the quantity a mode's ratio divides. Wall time for the
@@ -43,16 +43,15 @@ var ratioPairs = map[string]ratioPair{
 // and machine-independent in a deterministic single-threaded simulation,
 // so its ratio gates the pooled path far more sharply than wall time
 // could. The +1 keeps the ratio finite and stable when the pooled cell is
-// fully allocation-free (its ideal steady state). The bindtable mode
-// gates on the primitive CGA verification count for the same reason:
-// its wall time is drowned in signature checks (identical in both
-// cells), while the op count is exact and its pernode/shared ratio is
-// the verifier-group size by construction.
+// fully allocation-free (its ideal steady state). The memo mode gates on
+// the primitive signature verification count for the same reason: the
+// count is exact, and its off/on ratio is the verifier-group size times
+// the duplicates per chain by construction.
 func cellValue(r ScaleResult) float64 {
 	switch r.Mode {
 	case "wire":
 		return 1 + r.AllocsPerOp
-	case "bindtable":
+	case "memo":
 		return 1 + float64(r.VerifyOps)
 	}
 	return r.WallMS

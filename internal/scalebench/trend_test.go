@@ -105,39 +105,38 @@ func TestTrendWirePairUsesAllocs(t *testing.T) {
 	}
 }
 
-// The bindtable pair ratios primitive CGA verification counts, not wall
-// time: the sig-check-dominated wall clock is identical in both cells,
-// while the shared table losing its dedup (ops regrowing toward the
-// pernode count) erodes the ratio.
-func TestTrendBindtablePairUsesOps(t *testing.T) {
+// The memo pair ratios primitive signature verification counts, not wall
+// time, so a memo losing its cross-node dedup (ops regrowing toward the
+// off count) erodes the ratio whatever the machine.
+func TestTrendMemoPairUsesOps(t *testing.T) {
 	old := []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 50, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 48, VerifyOps: 874}, // 8.0x
+		{Mode: "memo", Nodes: 4000, Index: "off", WallMS: 50, VerifyOps: 27968},
+		{Mode: "memo", Nodes: 4000, Index: "on", WallMS: 12, VerifyOps: 874}, // 32x
 	}
-	// Wall times double (different machine); the shared cell now computes
-	// half the pernode count — a real erosion the wall numbers would hide.
+	// Wall times double (different machine); the on cell now computes
+	// one walk per node instead of one per group — a real erosion.
 	new := []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 100, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 96, VerifyOps: 3496},
+		{Mode: "memo", Nodes: 4000, Index: "off", WallMS: 100, VerifyOps: 27968},
+		{Mode: "memo", Nodes: 4000, Index: "on", WallMS: 24, VerifyOps: 6992},
 	}
 	rows := Trend(old, new, 0.15)
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(rows))
 	}
 	r := rows[0]
-	if r.Base != "pernode" || r.Opt != "shared" {
-		t.Fatalf("bindtable pair misnamed: %+v", r)
+	if r.Base != "off" || r.Opt != "on" {
+		t.Fatalf("memo pair misnamed: %+v", r)
 	}
 	if !r.Regressed {
 		t.Errorf("dedup erosion not flagged through the op-count ratio: %+v", r)
 	}
 	// Identical op counts on different hardware: no flag.
 	same := Trend(old, []ScaleResult{
-		{Mode: "bindtable", Nodes: 4000, Index: "pernode", WallMS: 100, VerifyOps: 6992},
-		{Mode: "bindtable", Nodes: 4000, Index: "shared", WallMS: 96, VerifyOps: 874},
+		{Mode: "memo", Nodes: 4000, Index: "off", WallMS: 100, VerifyOps: 27968},
+		{Mode: "memo", Nodes: 4000, Index: "on", WallMS: 40, VerifyOps: 874},
 	}, 0.15)
 	if Regressed(same) {
-		t.Errorf("machine-speed change flagged on the bindtable pair: %+v", same)
+		t.Errorf("machine-speed change flagged on the memo pair: %+v", same)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"sbr6/internal/audit"
-	"sbr6/internal/bindtable"
 	"sbr6/internal/boot"
 	"sbr6/internal/core"
 	"sbr6/internal/dnssrv"
@@ -28,6 +27,7 @@ import (
 	"sbr6/internal/shard"
 	"sbr6/internal/sim"
 	"sbr6/internal/trace"
+	"sbr6/internal/verifycache"
 	"sbr6/internal/wire"
 )
 
@@ -306,11 +306,11 @@ type Scenario struct {
 
 	// eng is the region-sharded engine, nil on the serial path.
 	eng *shard.Engine
-	// bindTable is the serial path's shared CGA-binding table (nil when
-	// disabled or sharded — the engine owns one table per region). It is
-	// built per run, never in shared configuration: parallel batch
-	// replicates each Build their own disjoint table.
-	bindTable *bindtable.Table
+	// memo is the serial path's verification memo (nil when disabled or
+	// sharded — the engine owns one memo per region). It is built per
+	// run, never in shared configuration: parallel batch replicates each
+	// Build their own disjoint memo.
+	memo *verifycache.Memo
 	// flowLogs defers the shared flow bookkeeping under sharding: send
 	// and delivery events append to their own region's log, and the
 	// engine replays the merged logs in deterministic order at barriers.
@@ -485,16 +485,16 @@ func Build(cfg Config) (*Scenario, error) {
 		sc.Medium = radio.New(sc.S, cfg.Radio)
 	}
 
-	// The shared CGA-binding table: one per simulation on the serial
-	// path, one per region under sharding so it stays region-local by
-	// construction (populated only by the owning region's event loop,
-	// exchanged at no barrier).
-	if cfg.Protocol.BindTable >= 0 {
+	// The verification memo: one per simulation on the serial path, one
+	// per region under sharding so it stays region-local by construction
+	// (populated only by the owning region's event loop, exchanged at no
+	// barrier).
+	if cfg.Protocol.VerifyCache >= 0 {
 		if sc.eng != nil {
-			sc.eng.EnableBindTables(cfg.Protocol.BindTable, cfg.Protocol.BindParanoia)
+			sc.eng.EnableMemos(cfg.Protocol.VerifyCache, cfg.Protocol.VerifyParanoia)
 		} else {
-			sc.bindTable = bindtable.New(cfg.Protocol.BindTable)
-			sc.bindTable.SetParanoid(cfg.Protocol.BindParanoia)
+			sc.memo = verifycache.New(cfg.Protocol.VerifyCache)
+			sc.memo.SetParanoid(cfg.Protocol.VerifyParanoia)
 		}
 	}
 
@@ -552,10 +552,8 @@ func Build(cfg Config) (*Scenario, error) {
 		}
 		if sc.eng != nil {
 			ns.SetOwner(prevOwner)
-			n.SetBindings(sc.eng.BindTable(radio.NodeID(i)))
-		} else {
-			n.SetBindings(sc.bindTable)
 		}
+		n.SetMemo(sc.memoOf(radio.NodeID(i)))
 		if b, hostile := cfg.Behaviors[i]; hostile {
 			n.Behavior = b
 		}
@@ -744,19 +742,40 @@ func (sc *Scenario) Events() uint64 {
 	return sc.S.Processed()
 }
 
-// BindStats aggregates the shared binding-table counters over the run's
-// tables — the single serial table, or every region's. Zero when the
-// table is disabled; not part of the deterministic Result surface.
-func (sc *Scenario) BindStats() bindtable.Stats {
-	var st bindtable.Stats
+// memoOf returns the verification memo of the event loop owning the node
+// (nil when memoization is off).
+func (sc *Scenario) memoOf(id radio.NodeID) *verifycache.Memo {
 	if sc.eng != nil {
-		for _, t := range sc.eng.BindTables() {
-			st.Add(t.Stats())
+		return sc.eng.Memo(id)
+	}
+	return sc.memo
+}
+
+// MemoStats sums the traffic counters of the run's verification memos —
+// the single serial memo, or every region's. Zero when memoization is off;
+// not part of the deterministic Result surface.
+func (sc *Scenario) MemoStats() verifycache.Stats {
+	var st verifycache.Stats
+	if sc.eng != nil {
+		for _, m := range sc.eng.Memos() {
+			st.Add(m.Stats())
 		}
 		return st
 	}
-	st.Add(sc.bindTable.Stats())
+	st.Add(sc.memo.Stats())
 	return st
+}
+
+// BindingStats counts CGA-binding checks on the run's memos.
+type BindingStats struct {
+	Hits   uint64 // checks served from a memo
+	Misses uint64 // primitive cga.Verify computations
+}
+
+// BindStats reports the CGA-binding share of MemoStats.
+func (sc *Scenario) BindStats() BindingStats {
+	st := sc.MemoStats()
+	return BindingStats{Hits: st.CGAHits, Misses: st.CGAMisses}
 }
 
 // Run executes the full experiment: bootstrap, warmup, measured traffic,

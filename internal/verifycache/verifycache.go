@@ -1,67 +1,85 @@
 // Package verifycache memoizes the two primitive checks behind every
 // verification procedure in the paper — the CGA binding test
 // addr == H(PK, rn) (Sections 3.1/3.3 check (i)) and the signature test
-// (check (ii)) — plus whole route-record chains, in one bounded per-node
-// LRU.
+// (check (ii)) — plus whole route-record chains, in one bounded memo per
+// event loop.
 //
-// Why this is safe under the paper's adversary model: both checks are pure
-// functions of their full input. Cache keys are SHA-256 digests over every
-// byte the check reads (domain-separated per check kind), so a lookup can
-// only hit when the address, key, modifier, message and signature are all
-// identical to an earlier check — in which case recomputing would return
-// the same verdict. An adversary who wants the cache to return a stale
-// "valid" for forged content needs a SHA-256 collision; replaying an old
-// valid message hits the cache but is exactly as valid as it was the first
-// time (replay defense stays where it belongs, in the challenge/sequence
-// fields that are part of the signed content and therefore part of the
-// key). Negative results are cached too: re-presenting a rejected forgery
-// costs one digest instead of one signature verification, which blunts
-// rather than enables flooding with invalid traffic.
+// Ownership. One Memo serves one event loop: the whole simulation on the
+// serial path, or one region under the sharded core (internal/shard
+// builds one memo per region, touched only by that region's loop and
+// exchanged at no barrier). Every node on the loop checks through a View
+// of it, so a verdict one node computed is served to every other node on
+// the same loop. A check made in two regions is computed twice: sharing
+// across loops would need locks on the hottest verification path. There
+// is no locking here, and parallel batch replicates build disjoint memos.
 //
-// What is deliberately NOT memoizable: anything keyed by less than the
-// full verified content (e.g. "this address was fine recently"), and any
-// check whose verdict depends on mutable local state (pending challenges,
-// route caches, credit standing). Those stay outside this package.
+// Safety. Both checks are pure functions of their full input. Keys are
+// SHA-256 digests over every byte a check reads, domain-separated per
+// check kind, so a lookup can only hit when the address, key, modifier,
+// message and signature are all identical to an earlier check — whichever
+// node made it — and recomputing would return the same verdict. The
+// paper's "every node independently verifies" becomes "some node on this
+// loop verified these exact bytes". An adversary who wants a stale
+// "valid" for forged content needs a SHA-256 collision. Replaying an old
+// valid message hits but is exactly as valid as it was the first time:
+// replay defense stays in the challenge and sequence fields, which are
+// signed and therefore part of the key. Negative verdicts are memoized
+// too, so a forgery rejected at one node is rejected from the memo at
+// every other, which blunts rather than enables flooding with invalid
+// traffic.
 //
-// The cache is per node and the simulator drives each node from a single
-// goroutine, so there is no locking; parallel batch replicates build
-// disjoint caches.
+// Not memoizable: anything keyed by less than the full verified content
+// ("this address was fine recently"), and any check whose verdict depends
+// on mutable local state (pending challenges, route caches, credit
+// standing). Those stay outside this package.
+//
+// Eviction. A memo holds two generations of at most half its bound each.
+// Inserts go to the young generation; when it is full the old one is
+// dropped and the young one takes its place. A hit in the old generation
+// moves the entry back into the young one, so content still in use
+// survives every swap and a long session keeps hitting after the bound is
+// reached, with no per-entry list to maintain. An adversary minting
+// unlimited fresh forgeries can push the memo to its bound, never past.
+//
+// Results stay byte-identical with the memo on, off or paranoid, because
+// verdicts are all a caller can observe; only Stats and wall time change.
+// Paranoid mode is the differential arm that proves it: every hit, chain
+// hits included, is recomputed and any disagreement panics.
 package verifycache
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 
-	"sbr6/internal/bindtable"
+	"sbr6/internal/cga"
 	"sbr6/internal/identity"
 	"sbr6/internal/ipv6"
 )
 
-// DefaultEntries bounds the cache when the owner does not choose a size.
-// Entries are ~100 bytes, so the default costs at most ~1.6 MB per node
-// and in practice far less: the map fills only with content the node
-// actually verified.
-const DefaultEntries = 16384
+// DefaultEntries bounds a memo when the owner does not choose a size. An
+// entry costs about 80 bytes, so a full memo costs about 10 MB; one memo
+// serves a whole event loop, and it fills only with content some node on
+// that loop actually verified.
+const DefaultEntries = 1 << 17
 
-// Key is a content digest identifying one memoized check.
-type Key [sha256.Size]byte
+// key is a content digest identifying one memoized check.
+type key [sha256.Size]byte
 
-// Domain-separation tags; hashed into the key so the three check kinds can
-// never alias.
+// Domain-separation tags, hashed first into every key so the three check
+// kinds can never alias.
 const (
-	tagCGA   = 0x01
-	tagSig   = 0x02
-	tagChain = 0x03
+	tagCGA byte = iota + 1
+	tagSig
+	tagChain
 )
 
-// Stats counts cache traffic. Hits are primitive operations avoided;
-// misses are operations actually performed through the cache. A chain hit
-// stands for the whole sequence of per-hop checks the chain would redo.
+// Stats counts memo traffic. Hits are checks served from the memo; misses
+// are checks computed through it. A chain hit stands for the whole
+// sequence of per-hop checks the chain would redo.
 type Stats struct {
 	CGAHits, CGAMisses     uint64
 	SigHits, SigMisses     uint64
 	ChainHits, ChainMisses uint64
-	Evictions              uint64
 }
 
 // Hits sums hits over all check kinds.
@@ -70,7 +88,7 @@ func (s Stats) Hits() uint64 { return s.CGAHits + s.SigHits + s.ChainHits }
 // Misses sums misses over all check kinds.
 func (s Stats) Misses() uint64 { return s.CGAMisses + s.SigMisses + s.ChainMisses }
 
-// Add accumulates other into s (for aggregating per-node caches).
+// Add accumulates other into s (for aggregating nodes or memos).
 func (s *Stats) Add(other Stats) {
 	s.CGAHits += other.CGAHits
 	s.CGAMisses += other.CGAMisses
@@ -78,253 +96,267 @@ func (s *Stats) Add(other Stats) {
 	s.SigMisses += other.SigMisses
 	s.ChainHits += other.ChainHits
 	s.ChainMisses += other.ChainMisses
-	s.Evictions += other.Evictions
 }
 
-type entry struct {
-	key Key
-	ok  bool
-	// Chain entries carry the memoized error and how many logical
-	// signature verifications the full chain walk performed, so a hit can
-	// replay the verifier's accounting exactly.
+// count records one lookup of the given kind (a key tag).
+func (s *Stats) count(tag byte, hit bool) {
+	switch {
+	case tag == tagCGA && hit:
+		s.CGAHits++
+	case tag == tagCGA:
+		s.CGAMisses++
+	case tag == tagSig && hit:
+		s.SigHits++
+	case tag == tagSig:
+		s.SigMisses++
+	case hit:
+		s.ChainHits++
+	default:
+		s.ChainMisses++
+	}
+}
+
+// verdict is one memoized result. Chain verdicts carry the walk's error
+// and how many logical signature verifications it counted, so a hit can
+// replay the caller's accounting exactly.
+type verdict struct {
 	err      error
 	verifies int
-
-	prev, next *entry
+	ok       bool
 }
 
-// Cache is the bounded LRU. All methods are nil-receiver safe: a nil
-// *Cache computes every check directly and records nothing, which is how
-// "cache off" runs share the same call sites.
-type Cache struct {
-	cap   int
-	m     map[Key]*entry
-	head  *entry // most recently used
-	tail  *entry // least recently used
-	stats Stats
-
-	// shared, when non-nil, is the cross-node binding table consulted
-	// beneath the node-local memo: a CGA miss here may still be a hit
-	// there, because another node on the same event loop already
-	// computed the identical binding. Signature and chain checks stay
-	// purely node-local — their content (challenges, sequence numbers)
-	// rarely repeats across nodes, so sharing them would buy nothing.
-	shared *bindtable.Table
+// Memo is one event loop's verification memo. All methods are
+// nil-receiver safe; a nil *Memo memoizes nothing.
+type Memo struct {
+	gen        int // bound of each generation
+	young, old map[key]verdict
+	stats      Stats
+	paranoid   bool
+	scratch    Digest // the key under construction, reused by every check
 }
 
-// New creates a cache bounded to capacity entries (DefaultEntries when
-// capacity <= 0).
-func New(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultEntries
+// New creates a memo bounded to entries (DefaultEntries when entries <= 0).
+// Len never exceeds max(entries, 2).
+func New(entries int) *Memo {
+	if entries <= 0 {
+		entries = DefaultEntries
 	}
-	return &Cache{cap: capacity, m: make(map[Key]*entry)}
+	return &Memo{
+		gen:   max(entries/2, 1),
+		young: make(map[key]verdict),
+		old:   make(map[key]verdict),
+	}
+}
+
+// SetParanoid toggles hit re-verification: every hit recomputes its
+// check and panics on disagreement. It is the poisoned arm of the
+// differential suite and a debugging aid, never on in production runs.
+func (m *Memo) SetParanoid(on bool) {
+	if m != nil {
+		m.paranoid = on
+	}
 }
 
 // Len reports the number of memoized checks.
-func (c *Cache) Len() int {
-	if c == nil {
+func (m *Memo) Len() int {
+	if m == nil {
 		return 0
 	}
-	return len(c.m)
+	return len(m.young) + len(m.old)
 }
 
-// Stats returns a copy of the traffic counters (zero for a nil cache).
-func (c *Cache) Stats() Stats {
-	if c == nil {
+// Stats returns a copy of the memo's traffic counters: the sum over every
+// View of it (zero for a nil memo).
+func (m *Memo) Stats() Stats {
+	if m == nil {
 		return Stats{}
 	}
-	return c.stats
+	return m.stats
 }
 
-// SetShared attaches the simulation- (or region-) wide binding table
-// this cache consults on CGA misses. CGAMisses keeps counting local
-// misses either way; how many of those became primitive computations
-// versus cross-node hits is the table's own Stats' business.
-func (c *Cache) SetShared(t *bindtable.Table) {
-	if c == nil {
-		return
+// Forget drops the verdict memoized for one CGA binding, reporting whether
+// one was present. Churning sessions call it when a node leaves for good:
+// the departed binding will never be flooded again, so holding it only
+// crowds the bound. Forgetting is always safe — the worst case is one
+// recompute if the binding reappears.
+func (m *Memo) Forget(addr ipv6.Addr, pk []byte, rn uint64) bool {
+	if m == nil {
+		return false
 	}
-	c.shared = t
+	k := m.cgaKey(addr, pk, rn)
+	_, young := m.young[k]
+	_, old := m.old[k]
+	delete(m.young, k)
+	delete(m.old, k)
+	return young || old
 }
 
-// --- LRU plumbing ---
+// View returns a fresh handle on m. A nil memo yields a View that computes
+// every check directly.
+func (m *Memo) View() View { return View{m: m} }
 
-func (c *Cache) lookup(k Key) (*entry, bool) {
-	e, ok := c.m[k]
+func (m *Memo) lookup(k key) (verdict, bool) {
+	if r, ok := m.young[k]; ok {
+		return r, true
+	}
+	r, ok := m.old[k]
 	if ok {
-		c.moveToFront(e)
+		delete(m.old, k)
+		m.store(k, r)
 	}
-	return e, ok
+	return r, ok
 }
 
-func (c *Cache) insert(e *entry) {
-	// Replacing an existing key must unlink its old node first, or the
-	// orphan would later be evicted and delete the live map entry.
-	if old, ok := c.m[e.key]; ok {
-		c.unlink(old)
-		delete(c.m, old.key)
+func (m *Memo) store(k key, r verdict) {
+	if len(m.young) >= m.gen {
+		clear(m.old)
+		m.old, m.young = m.young, m.old
 	}
-	c.m[e.key] = e
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-	if len(c.m) > c.cap {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.m, victim.key)
-		c.stats.Evictions++
-	}
+	m.young[k] = r
 }
 
-func (c *Cache) moveToFront(e *entry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+func (m *Memo) begin(tag byte) *Digest {
+	m.scratch.buf = append(m.scratch.buf[:0], tag)
+	return &m.scratch
 }
 
-func (c *Cache) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// --- memoized checks ---
-
-// VerifyCGA reports whether addr's interface ID equals H(pk, rn),
-// memoizing the result under a digest of (addr, pk, rn). Local misses
-// are served through the shared binding table when one is attached
-// (another node may have computed the identical binding already); a
-// nil table computes directly.
-func (c *Cache) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
-	if c == nil {
-		return (*bindtable.Table)(nil).Verify(addr, pk, rn)
-	}
-	d := NewDigest(tagCGA)
+func (m *Memo) cgaKey(addr ipv6.Addr, pk []byte, rn uint64) key {
+	d := m.begin(tagCGA)
 	d.Bytes(addr[:])
 	d.Bytes(pk)
 	d.U64(rn)
-	k := d.Key()
-	if e, ok := c.lookup(k); ok {
-		c.stats.CGAHits++
-		return e.ok
+	return d.sum()
+}
+
+// agree panics when a paranoid recompute contradicts a memoized verdict.
+func agree(same bool, what string) {
+	if !same {
+		panic("verifycache: poisoned " + what + " verdict: the memo disagrees with the primitive")
 	}
-	c.stats.CGAMisses++
-	ok := c.shared.Verify(addr, pk, rn)
-	c.insert(&entry{key: k, ok: ok})
+}
+
+// verifyCGA is the one compute site of the CGA primitive beneath the memo.
+func verifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
+	//sbr6:allow directverify the memo's single compute site: misses, memo-off views and paranoid recomputes all land here
+	return cga.Verify(addr, pk, rn)
+}
+
+// View is one node's handle on its event loop's Memo. Every check the node
+// makes goes through it: the View counts the node's own lookups, the Memo
+// counts everyone's, so summing View stats over the nodes of a loop gives
+// the Memo's. A View without a memo — the zero value, or a nil *View —
+// computes every check directly and records nothing.
+type View struct {
+	m     *Memo
+	stats Stats
+}
+
+// Stats returns a copy of this node's lookup counters.
+func (v *View) Stats() Stats {
+	if v == nil {
+		return Stats{}
+	}
+	return v.stats
+}
+
+// find looks k up, counting the lookup on the node's and the memo's stats.
+func (v *View) find(tag byte, k key) (verdict, bool) {
+	r, hit := v.m.lookup(k)
+	v.stats.count(tag, hit)
+	v.m.stats.count(tag, hit)
+	return r, hit
+}
+
+// VerifyCGA reports whether addr's interface ID equals H(pk, rn).
+func (v *View) VerifyCGA(addr ipv6.Addr, pk []byte, rn uint64) bool {
+	if v == nil || v.m == nil {
+		return verifyCGA(addr, pk, rn)
+	}
+	k := v.m.cgaKey(addr, pk, rn)
+	if r, hit := v.find(tagCGA, k); hit {
+		if v.m.paranoid {
+			agree(r.ok == verifyCGA(addr, pk, rn), "CGA")
+		}
+		return r.ok
+	}
+	ok := verifyCGA(addr, pk, rn)
+	v.m.store(k, verdict{ok: ok})
 	return ok
 }
 
-// VerifySig reports whether sig is pk's valid signature over msg,
-// memoizing under a digest of (pk, msg, sig).
-func (c *Cache) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
-	if c == nil {
+// VerifySig reports whether sig is pk's valid signature over msg.
+func (v *View) VerifySig(pk identity.PublicKey, msg, sig []byte) bool {
+	if v == nil || v.m == nil {
 		return pk.Verify(msg, sig)
 	}
-	d := NewDigest(tagSig)
+	d := v.m.begin(tagSig)
+	d.U64(uint64(pk.Suite()))
 	d.Bytes(pk.Bytes())
 	d.Bytes(msg)
 	d.Bytes(sig)
-	k := d.Key()
-	if e, ok := c.lookup(k); ok {
-		c.stats.SigHits++
-		return e.ok
+	k := d.sum()
+	if r, hit := v.find(tagSig, k); hit {
+		if v.m.paranoid {
+			agree(r.ok == pk.Verify(msg, sig), "signature")
+		}
+		return r.ok
 	}
-	c.stats.SigMisses++
 	ok := pk.Verify(msg, sig)
-	c.insert(&entry{key: k, ok: ok})
+	v.m.store(k, verdict{ok: ok})
 	return ok
 }
 
-// ChainLookup returns the memoized verdict for a whole verified chain
-// (route-record walk): the stored error, how many logical signature
-// verifications the original walk counted, and whether the key was
-// present.
-func (c *Cache) ChainLookup(k Key) (err error, verifies int, ok bool) {
-	if c == nil {
-		return nil, 0, false
+// VerifyChain returns the verdict of a whole verification walk — a
+// route-record chain — and the number of logical signature verifications
+// the walk counts. content hashes every byte the walk reads; the memo adds
+// the suite the walk parses keys under. walk performs its checks through
+// the View it is handed. A miss runs walk through v and memoizes the
+// result; a hit replays it (paranoid: re-walks with direct computation and
+// panics on any difference).
+func (v *View) VerifyChain(suite identity.Suite, content func(*Digest), walk func(*View) (error, int)) (error, int) {
+	if v == nil || v.m == nil {
+		return walk(v)
 	}
-	e, present := c.lookup(k)
-	if !present {
-		c.stats.ChainMisses++
-		return nil, 0, false
+	d := v.m.begin(tagChain)
+	d.U64(uint64(suite))
+	content(d)
+	k := d.sum()
+	if r, hit := v.find(tagChain, k); hit {
+		if v.m.paranoid {
+			err, n := walk(nil)
+			agree(errText(err) == errText(r.err) && n == r.verifies, "chain")
+		}
+		return r.err, r.verifies
 	}
-	c.stats.ChainHits++
-	return e.err, e.verifies, true
+	err, n := walk(v)
+	v.m.store(k, verdict{err: err, verifies: n})
+	return err, n
 }
 
-// ChainStore memoizes a chain verdict under k. verifies is the number of
-// logical signature verifications the walk performed, replayed into the
-// verifier's counters on a later hit so cached and uncached runs account
-// identically.
-func (c *Cache) ChainStore(k Key, err error, verifies int) {
-	if c == nil {
-		return
+func errText(err error) string {
+	if err == nil {
+		return ""
 	}
-	c.insert(&entry{key: k, err: err, verifies: verifies})
+	return err.Error()
 }
 
-// --- key construction ---
-
-// Digest builds a cache key over a sequence of fields. Variable-length
+// Digest accumulates the key material of one check. Variable-length
 // fields are length-prefixed so adjacent fields can never alias
-// ("ab"+"c" vs "a"+"bc"), and every digest starts with a kind tag.
+// ("ab"+"c" vs "a"+"bc").
 type Digest struct {
 	buf []byte
 }
 
-// NewDigest starts a key over the given domain tag.
-func NewDigest(tag byte) *Digest { return &Digest{buf: []byte{tag}} }
-
-// NewChainDigest starts a chain-kind key. The owning layer hashes in the
-// full content its chain walk reads (core's route-record key covers the
-// source identity, sequence number and every hop attestation).
-func NewChainDigest() *Digest { return NewDigest(tagChain) }
-
 // Bytes appends a length-prefixed variable-length field.
 func (d *Digest) Bytes(b []byte) {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	d.buf = append(d.buf, n[:]...)
+	d.buf = binary.BigEndian.AppendUint32(d.buf, uint32(len(b)))
 	d.buf = append(d.buf, b...)
 }
 
 // U64 appends a fixed-width 64-bit field.
-func (d *Digest) U64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	d.buf = append(d.buf, b[:]...)
-}
+func (d *Digest) U64(x uint64) { d.buf = binary.BigEndian.AppendUint64(d.buf, x) }
 
 // U32 appends a fixed-width 32-bit field.
-func (d *Digest) U32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	d.buf = append(d.buf, b[:]...)
-}
+func (d *Digest) U32(x uint32) { d.buf = binary.BigEndian.AppendUint32(d.buf, x) }
 
-// Key finalizes the digest.
-func (d *Digest) Key() Key { return Key(sha256.Sum256(d.buf)) }
+func (d *Digest) sum() key { return sha256.Sum256(d.buf) }

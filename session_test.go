@@ -2,8 +2,11 @@ package sbr6_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +295,52 @@ func TestResumeRejectsGarbage(t *testing.T) {
 	// The untampered bytes must still resume.
 	if _, err := sbr6.Resume(good); err != nil {
 		t.Fatalf("Resume of a genuine snapshot failed: %v", err)
+	}
+}
+
+// Snapshots written before the per-node verify cache and the shared
+// binding table merged into one memo carry the retired Protocol.BindTable
+// and Protocol.BindParanoia fields. They must still resume unchanged, with
+// no snapshot version bump: the memo never changes a result, so the
+// replayed state digest — which Resume verifies — matches the recorded
+// one, and decoding ignores the retired fields.
+func TestResumeSnapshotWithRetiredMemoFields(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRoundTrip/seed_genuine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The corpus file is "go test fuzz v1" followed by one []byte("...").
+	_, body, _ := strings.Cut(string(raw), "\n")
+	body = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(body), "[]byte("), ")")
+	old, err := strconv.Unquote(body)
+	if err != nil {
+		t.Fatalf("corpus entry does not parse: %v", err)
+	}
+	for _, field := range []string{`"BindTable":`, `"BindParanoia":`, `"VerifyCache":`} {
+		if !strings.Contains(old, field) {
+			t.Fatalf("fixture lacks %s; it no longer represents an old snapshot", field)
+		}
+	}
+	sess, err := sbr6.Resume([]byte(old))
+	if err != nil {
+		t.Fatalf("old snapshot no longer resumes: %v", err)
+	}
+	defer sess.Close()
+	again, err := sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(again, []byte("BindTable")) {
+		t.Error("a retired memo field was written back into a new snapshot")
+	}
+	digest := func(b []byte) string {
+		var f struct{ Digest string }
+		if err := json.Unmarshal(b, &f); err != nil {
+			t.Fatal(err)
+		}
+		return f.Digest
+	}
+	if d0, d1 := digest([]byte(old)), digest(again); d0 == "" || d0 != d1 {
+		t.Fatalf("resumed state digest %q, old snapshot recorded %q", d1, d0)
 	}
 }
